@@ -103,7 +103,6 @@ fn main() {
     let mut ep = AsyncEndpoint::new_with_faults(
         FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(&injector)),
         TransportConfig {
-            ranks,
             timeout: Duration::from_millis(150),
             max_retries: 3,
             stall_grace: Duration::from_millis(40),

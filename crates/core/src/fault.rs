@@ -6,7 +6,7 @@
 //! [`device`](crate::device) each probe one attack; this module turns the
 //! argument into a **soak-testable invariant** — schedule a randomized mix
 //! of faults against real queries (including under the concurrent
-//! [`AsyncEndpoint`](crate::transport::AsyncEndpoint) path) and prove that
+//! [`ChannelLink`](crate::transport::ChannelLink) transport) and prove that
 //! every injected fault was either
 //!
 //! - **masked**: the query still returned the correct, verified result
@@ -41,9 +41,9 @@
 //!   outcomes and the audit log into an [`InvariantReport`].
 //!
 //! Frame-class faults (drops, duplicates, stalls, crashes…) are landed by
-//! the transport worker loop itself — see
-//! [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
-//! — so they hit under real submit/poll/wait concurrency.
+//! the channel link's rank workers themselves — see
+//! [`ChannelLink::new`](crate::transport::ChannelLink::new) — so they hit
+//! under real submit/poll/wait concurrency.
 
 use crate::device::{HonestNdp, NdpDevice, NdpResponse};
 use crate::error::Error;
@@ -542,7 +542,7 @@ impl TableImage {
 /// replays (it retains the previous image of every reloaded table).
 ///
 /// Wrap one per rank around the real device and hand the fleet to
-/// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults)
+/// [`Endpoint::new_with_faults`](crate::transport::Endpoint::new_with_faults)
 /// so faults land under real concurrency; the shared [`FaultInjector`]
 /// decides which op is hit. With nothing armed the wrapper is a pure
 /// pass-through.
@@ -594,7 +594,7 @@ impl<D: NdpDevice> FaultyNdp<D> {
 impl<D: NdpDevice + Clone> FaultyNdp<D> {
     /// A fleet of `ranks` wrappers around clones of `device`, all
     /// consuming from one shared injector — the input to
-    /// [`AsyncEndpoint::new_with_faults`](crate::transport::AsyncEndpoint::new_with_faults).
+    /// [`Endpoint::new_with_faults`](crate::transport::Endpoint::new_with_faults).
     pub fn fleet(device: D, ranks: usize, injector: Arc<FaultInjector>) -> Vec<Self> {
         (0..ranks.max(1))
             .map(|rank| Self::new(device.clone(), Arc::clone(&injector), rank as u32))

@@ -77,5 +77,5 @@ pub use keys::SecretKey;
 pub use layout::TableLayout;
 pub use net::{NetConfig, NetServer, TcpEndpoint};
 pub use protocol::{TableHandle, TrustedProcessor};
-pub use transport::{AsyncEndpoint, TransportConfig};
+pub use transport::{AsyncEndpoint, Endpoint, Link, TransportConfig};
 pub use version::VersionManager;

@@ -168,59 +168,78 @@ pub(crate) fn wire_round_trip() -> &'static Histogram {
     )
 }
 
-/// Requests currently in flight on the async transport (submitted, not
-/// yet completed or abandoned).
+/// Requests currently in flight on a transport endpoint (sent, not yet
+/// settled or abandoned).
 pub(crate) fn transport_inflight() -> &'static Gauge {
     secndp_telemetry::gauge!(
         "secndp_transport_inflight",
-        "Async-transport requests submitted but not yet completed."
+        "Transport requests submitted but not yet completed."
     )
 }
 
-/// Requests submitted through the async transport (first attempts only;
-/// retries count separately).
+/// Requests submitted to a transport endpoint (one per request and rank;
+/// retries count separately). The left side of the reconciliation
+/// `submitted == completed + timeouts + failures`.
 pub(crate) fn transport_submitted() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_submitted_total",
-        "Requests submitted through the async NDP transport."
+        "Requests submitted through an NDP transport endpoint."
     )
 }
 
-/// Requests whose deadline expired at least once.
+/// Requests that settled with a reply frame.
+pub(crate) fn transport_completed() -> &'static Counter {
+    secndp_telemetry::counter!(
+        "secndp_transport_completed_total",
+        "Transport requests completed with a reply."
+    )
+}
+
+/// Requests whose final deadline expired (retries exhausted).
 pub(crate) fn transport_timeouts() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_timeouts_total",
-        "Async-transport requests whose per-request deadline expired."
+        "Transport requests whose per-request deadline expired."
     )
 }
 
-/// Idempotent requests re-sent after a deadline expiry.
+/// Requests that ended without a reply for any other reason: a lost
+/// connection or dead worker, a rejected or oversized frame, or a caller
+/// that gave up on them.
+pub(crate) fn transport_failures() -> &'static Counter {
+    secndp_telemetry::counter!(
+        "secndp_transport_failures_total",
+        "Transport requests failed by their link or abandoned."
+    )
+}
+
+/// Idempotent requests re-sent after a timeout or a lost link.
 pub(crate) fn transport_retries() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_retries_total",
-        "Idempotent async-transport requests re-sent after a timeout."
+        "Idempotent transport requests re-sent after a timeout or lost link."
     )
 }
 
-/// Replies that arrived for a request already completed or abandoned
+/// Replies that arrived for a request already settled or abandoned
 /// (e.g. the slow original after a retry already answered).
 pub(crate) fn transport_late_completions() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_transport_late_completions_total",
-        "Async-transport replies for already-settled requests (dropped)."
+        "Transport replies for already-settled requests (dropped)."
     )
 }
 
-/// Submit → completion latency of async-transport requests.
+/// Submit → completion latency of transport requests.
 pub(crate) fn transport_completion() -> &'static Histogram {
     secndp_telemetry::histogram!(
         "secndp_transport_completion_ns",
-        "Async-transport submit-to-completion latency in nanoseconds."
+        "Transport submit-to-completion latency in nanoseconds."
     )
 }
 
-/// TCP connections established by `TcpEndpoint`s (first dials and
-/// reconnects both).
+/// TCP connections dialed by `TcpLink`s (first dials and reconnects
+/// both).
 pub(crate) fn net_connects() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_connects_total",
@@ -229,7 +248,7 @@ pub(crate) fn net_connects() -> &'static Counter {
 }
 
 /// Re-establishments of a previously-connected pool slot — churn here
-/// degrades the `net-epN` health component.
+/// degrades the endpoint's health component.
 pub(crate) fn net_reconnects() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_reconnects_total",
@@ -250,58 +269,6 @@ pub(crate) fn net_rx_bytes() -> &'static Counter {
     secndp_telemetry::counter!(
         "secndp_net_rx_bytes_total",
         "Bytes read from TCP transport sockets (framing included)."
-    )
-}
-
-/// Request records written to a socket (every attempt counts — this is
-/// the left side of the reconciliation invariant `submitted ==
-/// completed + timeouts + connection failures`).
-pub(crate) fn net_submitted() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_submitted_total",
-        "Request records written to TCP transport sockets."
-    )
-}
-
-/// Replies received and handed back to a waiting caller.
-pub(crate) fn net_completed() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_completed_total",
-        "TCP transport requests completed with a reply."
-    )
-}
-
-/// Sent requests whose deadline expired before a reply arrived.
-pub(crate) fn net_timeouts() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_timeouts_total",
-        "TCP transport requests whose per-request deadline expired."
-    )
-}
-
-/// Idempotent requests re-sent after a timeout or connection loss.
-pub(crate) fn net_retries() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_retries_total",
-        "Idempotent TCP transport requests re-sent after a failure."
-    )
-}
-
-/// Requests whose carrying connection died (write error, reset, EOF, or
-/// an oversized reply) before a reply settled.
-pub(crate) fn net_conn_failures() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_conn_failures_total",
-        "TCP transport requests failed by a connection loss."
-    )
-}
-
-/// Replies whose request id matched nothing still waiting (the caller
-/// already timed out or retried elsewhere).
-pub(crate) fn net_late_replies() -> &'static Counter {
-    secndp_telemetry::counter!(
-        "secndp_net_late_replies_total",
-        "TCP transport replies for already-settled requests (dropped)."
     )
 }
 

@@ -1,16 +1,12 @@
 //! TCP socket transport: the wire protocol over a real network boundary.
 //!
-//! Every transport before this one was in-process — the blocking
-//! [`RemoteNdp`](crate::wire::RemoteNdp) serves frames on the caller's
-//! thread and the [`AsyncEndpoint`](crate::transport::AsyncEndpoint)
-//! ranks are channel-fed worker threads. SecNDP's threat model, however,
-//! places the trusted processor and the untrusted NDP memory on opposite
-//! sides of a *channel an adversary owns*. This module puts the existing
-//! length-prefixed traced wire frames (unchanged, byte for byte) onto
-//! pooled `TcpStream`s, so the protocol demonstrably survives a real I/O
-//! path: a [`NetServer`] hosts devices behind a listener and a
-//! [`TcpEndpoint`] implements [`NdpDevice`] by shipping frames across the
-//! socket.
+//! SecNDP's threat model places the trusted processor and the untrusted
+//! NDP memory on opposite sides of a *channel an adversary owns*. This
+//! module puts the length-prefixed traced wire frames (unchanged, byte for
+//! byte) onto pooled `TcpStream`s: a [`NetServer`] hosts devices behind a
+//! listener, and a [`TcpLink`] carries an [`Endpoint`]'s frames to it —
+//! [`TcpEndpoint`] is that endpoint. Deadlines, retries and the
+//! idempotent-only rule are the transport core's, identical on every link.
 //!
 //! # Net framing
 //!
@@ -32,10 +28,10 @@
 //! without a libc dependency, so drain rides the framing instead).
 //!
 //! `req_id` multiplexes in-flight requests: multiple client threads share
-//! one connection and a reader thread demultiplexes replies into a
-//! pending table by id. The id only routes bytes back to a waiting
-//! thread — reply *content* is still verified cryptographically, so a
-//! malicious server that swaps the ids of two replies produces two
+//! one connection and a reader thread demultiplexes replies into the
+//! endpoint's pending table by id. The id only routes bytes back to a
+//! waiting thread — reply *content* is still verified cryptographically,
+//! so a malicious server that swaps the ids of two replies produces two
 //! verification failures, never two wrong answers.
 //!
 //! `session` namespaces device state per client endpoint: a
@@ -46,37 +42,30 @@
 //!
 //! # Failure semantics
 //!
-//! - **Connections are lazy** and re-established with bounded backoff
-//!   when broken; `secndp_net_connects_total` / `_reconnects_total`
-//!   count the churn, and reconnect bursts degrade the `net-epN` health
-//!   component.
-//! - **Idempotent-only retry**, exactly the
-//!   [`transport`](crate::transport) rules: `WeightedSum` and `ReadRow`
-//!   are pure reads and may be re-sent (up to `max_retries`, linear
-//!   deadline backoff); `Load` mutates device state and is sent at most
-//!   once per rank — a broken connection mid-`Load` surfaces as
-//!   [`Error::ConnectionLost`] immediately.
-//! - **Deadlines**: a request with no reply within its deadline is a
-//!   typed [`Error::DeviceTimeout`] after retries are exhausted.
+//! - **Connections are lazy** and re-dialed with bounded backoff when
+//!   broken; `secndp_net_connects_total` / `_reconnects_total` count the
+//!   churn, and reconnects degrade the endpoint's health component.
+//! - **A dying connection fails exactly its own requests** with
+//!   [`LinkFail::ConnLost`] (or [`LinkFail::TooLarge`] for an oversized
+//!   reply), which the core retries for idempotent requests and surfaces
+//!   as [`Error::ConnectionLost`] otherwise.
 //! - **The socket is untrusted.** Nothing here adds integrity: a byte
 //!   flipped on the wire is caught by the same checksum-tag verification
 //!   that catches a tampering device, and an undecodable reply is a typed
 //!   [`Error::MalformedResponse`] — never a panic.
 
-use crate::device::{validate_load, NdpDevice, NdpResponse};
+use crate::device::NdpDevice;
 use crate::error::Error;
-use crate::wire::{self, Request, Response};
-use secndp_arith::mersenne::Fq;
-use secndp_arith::ring::RingWord;
-use secndp_telemetry::health::{self, HealthStatus};
-use secndp_telemetry::trace;
+use crate::transport::{Endpoint, Link, LinkFail, Pending, RankVitals, TransportConfig};
+use crate::wire;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Largest wire frame the net framing will carry, in bytes. A declared
 /// length above this is rejected *before* any allocation — a 4-byte
@@ -97,8 +86,8 @@ const REPLY_HEADER: usize = 8;
 /// shutdown flags, so teardown never waits on a silent peer.
 const IO_TICK: Duration = Duration::from_millis(50);
 
-/// Tuning knobs for a [`TcpEndpoint`] (and the env-selected TCP backend
-/// of [`RemoteNdp`](crate::wire::RemoteNdp)).
+/// Socket knobs of a [`TcpEndpoint`]; the timeout and retry knobs are the
+/// shared [`TransportConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
     /// Server address per rank (`host:port`). Duplicate entries address
@@ -107,17 +96,13 @@ pub struct NetConfig {
     pub addrs: Vec<String>,
     /// Connections per rank; client threads multiplex over the pool.
     pub pool: usize,
-    /// Per-request deadline; expiry triggers retry or `DeviceTimeout`.
-    pub timeout: Duration,
-    /// Maximum re-sends of an idempotent request (`0` disables retries).
-    pub max_retries: u32,
-    /// Extra deadline granted per retry attempt (linear backoff).
-    pub backoff: Duration,
-    /// Connect attempts before a broken rank turns into
+    /// Dial attempts before a broken rank fails its request with
     /// [`Error::ConnectionLost`].
     pub connect_retries: u32,
-    /// Pause between connect attempts.
+    /// Pause between dial attempts.
     pub connect_backoff: Duration,
+    /// Deadlines, retries, window and stall grace.
+    pub transport: TransportConfig,
 }
 
 impl Default for NetConfig {
@@ -125,120 +110,82 @@ impl Default for NetConfig {
         Self {
             addrs: Vec::new(),
             pool: 1,
-            timeout: Duration::from_millis(1000),
-            max_retries: 2,
-            backoff: Duration::from_millis(50),
             connect_retries: 20,
             connect_backoff: Duration::from_millis(25),
+            transport: TransportConfig::default(),
         }
     }
 }
 
 impl NetConfig {
-    /// Reads the TCP transport environment knobs:
-    /// `SECNDP_TRANSPORT_ADDRS` (comma-separated `host:port`, one per
-    /// rank) and `SECNDP_TRANSPORT_POOL`, plus the shared
-    /// `SECNDP_TRANSPORT_TIMEOUT_MS` / `SECNDP_TRANSPORT_RETRIES` knobs
-    /// the async transport also honors.
+    /// Reads every `SECNDP_TRANSPORT_*` knob, falling back to the
+    /// defaults: `_WINDOW`, `_TIMEOUT_MS`, `_RETRIES`,
+    /// `_STALL_MS` (the shared [`TransportConfig`]), plus `_ADDRS`
+    /// (comma-separated `host:port`, one per rank) and `_POOL`.
     pub fn from_env() -> Self {
-        let d = Self::default();
-        let addrs: Vec<String> = std::env::var("SECNDP_TRANSPORT_ADDRS")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let env_parse = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
+        fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
+            std::env::var(format!("SECNDP_TRANSPORT_{name}"))
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(default)
-        };
+        }
+        let d = Self::default();
+        let t = d.transport;
+        let ms = |d: Duration| d.as_millis() as u64;
         Self {
-            addrs,
-            pool: (env_parse("SECNDP_TRANSPORT_POOL", d.pool as u64) as usize).max(1),
-            timeout: Duration::from_millis(env_parse(
-                "SECNDP_TRANSPORT_TIMEOUT_MS",
-                d.timeout.as_millis() as u64,
-            )),
-            max_retries: env_parse("SECNDP_TRANSPORT_RETRIES", u64::from(d.max_retries)) as u32,
-            backoff: d.backoff,
-            connect_retries: d.connect_retries,
-            connect_backoff: d.connect_backoff,
+            addrs: var("ADDRS", String::new())
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect(),
+            pool: var("POOL", d.pool).max(1),
+            transport: TransportConfig {
+                window: var("WINDOW", t.window).max(1),
+                timeout: Duration::from_millis(var("TIMEOUT_MS", ms(t.timeout))),
+                max_retries: var("RETRIES", t.max_retries),
+                stall_grace: Duration::from_millis(var("STALL_MS", ms(t.stall_grace)).max(10)),
+            },
+            ..d
         }
     }
-}
-
-/// Outcome of [`read_full`]: distinguishes a clean fill from close and
-/// shutdown.
-enum ReadOutcome {
-    /// The buffer was filled completely.
-    Full,
-    /// The peer closed (possibly mid-frame — a torn frame is a close).
-    Eof,
-    /// A local shutdown condition was raised while waiting.
-    Stopped,
 }
 
 /// Fills `buf` from `stream`, tolerating arbitrarily torn reads (the
 /// stream has an [`IO_TICK`] read timeout; timeouts just loop) and
 /// polling `stopped` on every tick so teardown is never held hostage by
-/// a silent peer.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stopped: impl Fn() -> bool,
-) -> io::Result<ReadOutcome> {
+/// a silent peer. `false` on close (a torn frame is a close), error or
+/// stop.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], stopped: impl Fn() -> bool) -> bool {
     let mut pos = 0;
     while pos < buf.len() {
         if stopped() {
-            return Ok(ReadOutcome::Stopped);
+            return false;
         }
         match stream.read(&mut buf[pos..]) {
-            Ok(0) => return Ok(ReadOutcome::Eof),
+            Ok(0) => return false,
             Ok(n) => pos += n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
                     || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(_) => return false,
         }
     }
-    Ok(ReadOutcome::Full)
+    true
 }
 
-/// Writes one request record (`len | req_id | session | rank | frame`),
-/// returning the transport bytes written.
-fn write_request(
-    stream: &mut TcpStream,
-    req_id: u64,
-    session: u64,
-    rank: u32,
-    frame: &[u8],
-) -> io::Result<usize> {
-    let len = REQ_HEADER + frame.len();
+/// Writes one record, `len | header | frame` (a request header is
+/// `req_id | session | rank`, a reply header `req_id`), in one write;
+/// returns the bytes written.
+fn write_record(stream: &mut TcpStream, header: &[u8], frame: &[u8]) -> io::Result<usize> {
+    let len = header.len() + frame.len();
     let mut buf = Vec::with_capacity(4 + len);
     buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(&session.to_le_bytes());
-    buf.extend_from_slice(&rank.to_le_bytes());
+    buf.extend_from_slice(header);
     buf.extend_from_slice(frame);
     stream.write_all(&buf)?;
     Ok(buf.len())
-}
-
-/// Writes one reply record (`len | req_id | frame`).
-fn write_reply(stream: &mut TcpStream, req_id: u64, frame: &[u8]) -> io::Result<()> {
-    let len = REPLY_HEADER + frame.len();
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&req_id.to_le_bytes());
-    buf.extend_from_slice(frame);
-    stream.write_all(&buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -425,18 +372,20 @@ impl Drop for NetServer {
 /// the shared host, writes reply records. Every framing violation —
 /// garbage preamble, truncated or oversized length, torn frame — closes
 /// *this* connection (counted, never a panic); the listener keeps serving
-/// everyone else.
+/// everyone else. A device that panics while serving fails only its own
+/// request, with a typed error frame: the panic is caught before the host
+/// lock is released, so the lock is never poisoned for other sessions.
 fn connection_loop(
     mut stream: TcpStream,
     host: Arc<Mutex<Box<dyn FrameHost>>>,
     stop: Arc<AtomicBool>,
     server_addr: SocketAddr,
 ) {
+    let stopped = || stop.load(Ordering::SeqCst);
     loop {
         let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, || stop.load(Ordering::SeqCst)) {
-            Ok(ReadOutcome::Full) => {}
-            _ => return,
+        if !read_full(&mut stream, &mut len_buf, stopped) {
+            return;
         }
         let len = u32::from_le_bytes(len_buf);
         if len == SHUTDOWN_SENTINEL {
@@ -456,18 +405,18 @@ fn connection_loop(
             return;
         }
         let mut payload = vec![0u8; len];
-        match read_full(&mut stream, &mut payload, || stop.load(Ordering::SeqCst)) {
-            Ok(ReadOutcome::Full) => {}
-            _ => return,
+        if !read_full(&mut stream, &mut payload, stopped) {
+            return;
         }
-        let req_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
         let session = u64::from_le_bytes(payload[8..16].try_into().unwrap());
         let rank = u32::from_le_bytes(payload[16..20].try_into().unwrap());
-        let reply = host
-            .lock()
-            .unwrap()
-            .serve_frame(session, rank, &payload[REQ_HEADER..]);
-        if write_reply(&mut stream, req_id, &reply).is_err() {
+        let (req_id, frame) = (&payload[..8], &payload[REQ_HEADER..]);
+        let reply = {
+            let mut host = host.lock().unwrap_or_else(PoisonError::into_inner);
+            catch_unwind(AssertUnwindSafe(|| host.serve_frame(session, rank, frame)))
+        }
+        .unwrap_or_else(|_| wire::error_reply(frame, wire::CODE_DEVICE_ERROR));
+        if write_record(&mut stream, req_id, &reply).is_err() {
             return;
         }
     }
@@ -477,107 +426,14 @@ fn connection_loop(
 // Client
 // ---------------------------------------------------------------------------
 
-/// How a pending net request failed before a reply arrived.
-#[derive(Debug, Clone, Copy)]
-enum NetFail {
-    /// The carrying connection died (EOF, reset, write error).
-    ConnLost,
-    /// The server declared a reply length past [`MAX_NET_FRAME`].
-    TooLarge(usize),
-}
-
-enum NetState {
-    Waiting,
-    Reply(Vec<u8>),
-    Failed(NetFail),
-}
-
-struct NetSlot {
-    state: NetState,
-    /// `(rank, conn index, connection generation)` — which physical
-    /// connection carries this request, so a dying reader fails exactly
-    /// its own in-flight ids and nothing else.
-    route: (usize, usize, u64),
-}
-
-struct NetShared {
-    table: Mutex<HashMap<u64, NetSlot>>,
-    cv: Condvar,
-}
-
-impl NetShared {
-    /// Fills a slot with its reply bytes, or counts a late/unknown id.
-    fn complete(&self, id: u64, reply: Vec<u8>) {
-        let mut t = self.table.lock().unwrap();
-        match t.get_mut(&id) {
-            Some(slot) if matches!(slot.state, NetState::Waiting) => {
-                slot.state = NetState::Reply(reply);
-                self.cv.notify_all();
-            }
-            _ => crate::metrics::net_late_replies().inc(),
-        }
-    }
-
-    /// Fails every request still waiting on `route` — called by a dying
-    /// reader thread so its in-flight ids error typed instead of waiting
-    /// out their full deadline.
-    fn fail_route(&self, route: (usize, usize, u64), fail: NetFail) {
-        let mut t = self.table.lock().unwrap();
-        let mut hit = false;
-        for slot in t.values_mut() {
-            if slot.route == route && matches!(slot.state, NetState::Waiting) {
-                slot.state = NetState::Failed(fail);
-                hit = true;
-            }
-        }
-        if hit {
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Liveness vitals for one rank's connection pool, feeding the `net-epN`
-/// health component.
-#[derive(Debug, Default)]
-pub struct NetRankVitals {
-    /// Currently-established connections.
-    live: AtomicUsize,
-    /// Whether this rank ever connected (a rank that was never used is
-    /// idle, not down).
-    ever: AtomicBool,
-    /// Replies received on this rank.
-    served: AtomicU64,
-}
-
-impl NetRankVitals {
-    /// Currently-established connections in this rank's pool.
-    pub fn live_connections(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// Whether the rank has ever had an established connection.
-    pub fn ever_connected(&self) -> bool {
-        self.ever.load(Ordering::Relaxed)
-    }
-
-    /// Replies received from this rank.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Connected in the past but holds no live connection now.
-    pub fn disconnected(&self) -> bool {
-        self.ever_connected() && self.live_connections() == 0
-    }
-}
-
 /// One established connection: the writing half plus its reader thread.
 struct LiveConn {
     stream: TcpStream,
-    gen: u64,
+    /// Process-unique connection id: the route its requests travel on.
+    id: u64,
     alive: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
-    vitals: Arc<NetRankVitals>,
+    vitals: Arc<RankVitals>,
 }
 
 impl Drop for LiveConn {
@@ -594,19 +450,18 @@ impl Drop for LiveConn {
     }
 }
 
-/// One connection slot in a rank's pool. `next_gen` monotonically labels
-/// successive connections so a stale reader cannot fail a successor's
-/// requests.
+/// One slot of a rank's connection pool.
+#[derive(Default)]
 struct ConnCell {
     conn: Option<LiveConn>,
-    next_gen: u64,
+    /// Whether this slot ever dialed (the next dial is a reconnect).
+    dialed: bool,
 }
 
 /// One rank: a server address plus its connection pool.
-struct RankLink {
+struct RankConns {
     addr: String,
     conns: Vec<Mutex<ConnCell>>,
-    vitals: Arc<NetRankVitals>,
 }
 
 /// Process-unique session ids: the pid keeps concurrent *processes*
@@ -617,44 +472,214 @@ fn fresh_session() -> u64 {
     (u64::from(std::process::id()) << 32) | (SEQ.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF)
 }
 
-enum WaitOutcome {
-    Reply(Vec<u8>),
-    Failed(NetFail),
-    TimedOut,
-}
-
-/// A TCP-backed [`NdpDevice`]: every request crosses a real kernel socket
-/// to a [`NetServer`] (an external one via [`connect`](Self::connect), or
-/// a private loopback one via [`self_hosted`](Self::self_hosted)). See
-/// the [module docs](self) for framing and failure semantics.
-pub struct TcpEndpoint {
-    links: Vec<RankLink>,
-    shared: Arc<NetShared>,
+/// Carries frames over pooled kernel TCP sockets to [`NetServer`] ranks,
+/// one reader thread per connection demultiplexing replies by request id.
+pub struct TcpLink {
+    ranks: Vec<RankConns>,
+    vitals: Vec<Arc<RankVitals>>,
     session: u64,
-    stop: Arc<AtomicBool>,
-    next_id: AtomicU64,
-    next_rank: AtomicUsize,
     next_conn: AtomicUsize,
-    cfg: NetConfig,
-    /// Health-check registration; dropped (unregistering the check)
-    /// *before* connections are torn down so `/healthz` never scores a
-    /// torn-down endpoint.
-    health: Option<health::HealthCheckHandle>,
-    /// The component name this endpoint registered under (`net-epN`).
-    component: String,
-    /// The private loopback server of a self-hosted endpoint; dropped
-    /// after the connections so teardown drains cleanly.
-    self_server: Option<NetServer>,
+    connect_retries: u32,
+    connect_backoff: Duration,
+    write_timeout: Duration,
+    /// The private loopback server of a self-hosted link; declared last so
+    /// it drains after the connections close.
+    _server: Option<NetServer>,
 }
 
-impl std::fmt::Debug for TcpEndpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpEndpoint")
-            .field("ranks", &self.links.len())
-            .field("session", &self.session)
-            .field("self_hosted", &self.self_server.is_some())
-            .finish()
+/// The TCP-linked endpoint. See the [module docs](self).
+pub type TcpEndpoint = Endpoint<TcpLink>;
+
+impl TcpLink {
+    /// A link to `cfg.addrs`, one rank per address. Connections are lazy —
+    /// no I/O happens until the first request.
+    pub fn new(cfg: &NetConfig) -> Self {
+        Self {
+            ranks: cfg
+                .addrs
+                .iter()
+                .map(|addr| RankConns {
+                    addr: addr.clone(),
+                    conns: (0..cfg.pool.max(1)).map(|_| Mutex::default()).collect(),
+                })
+                .collect(),
+            vitals: cfg.addrs.iter().map(|_| Arc::default()).collect(),
+            session: fresh_session(),
+            next_conn: AtomicUsize::new(0),
+            connect_retries: cfg.connect_retries,
+            connect_backoff: cfg.connect_backoff,
+            write_timeout: cfg.transport.timeout.max(IO_TICK),
+            _server: None,
+        }
     }
+
+    /// Spawns a private loopback [`NetServer`] hosting `device` and links
+    /// a single rank to it: every frame crosses a real kernel socket while
+    /// the device semantics (honest, tampering, delayed, …) are preserved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the loopback bind failure.
+    pub fn self_hosted<D: NdpDevice + Send + 'static>(
+        device: D,
+        cfg: &NetConfig,
+    ) -> io::Result<Self> {
+        let server = NetServer::host_device(device, "127.0.0.1:0")?;
+        let cfg = NetConfig {
+            addrs: vec![server.local_addr().to_string()],
+            ..cfg.clone()
+        };
+        Ok(Self {
+            _server: Some(server),
+            ..Self::new(&cfg)
+        })
+    }
+
+    /// The live connection in `cell`, (re-)dialing it with backoff when it
+    /// is missing or dead.
+    fn connected<'c>(
+        &self,
+        cell: &'c mut ConnCell,
+        rank: usize,
+        pending: &Arc<Pending>,
+    ) -> Result<&'c mut LiveConn, LinkFail> {
+        if !cell
+            .conn
+            .as_ref()
+            .is_some_and(|c| c.alive.load(Ordering::SeqCst))
+        {
+            // Dropping the dead connection joins its reader before dialing,
+            // keeping the thread count bounded across reconnect storms.
+            cell.conn = None;
+            cell.conn = Some(self.dial(rank, pending)?);
+            crate::metrics::net_connects().inc();
+            if cell.dialed {
+                crate::metrics::net_reconnects().inc();
+            }
+            cell.dialed = true;
+        }
+        Ok(cell.conn.as_mut().expect("connection just ensured"))
+    }
+
+    fn dial(&self, rank: usize, pending: &Arc<Pending>) -> Result<LiveConn, LinkFail> {
+        static CONN_SEQ: AtomicU64 = AtomicU64::new(1);
+        let mut attempt = 0;
+        let stream = loop {
+            match TcpStream::connect(&self.ranks[rank].addr) {
+                Ok(s) => break s,
+                Err(_) if attempt < self.connect_retries => {
+                    attempt += 1;
+                    std::thread::sleep(self.connect_backoff);
+                }
+                Err(_) => return Err(LinkFail::ConnLost),
+            }
+        };
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(self.write_timeout));
+        let reader_stream = stream.try_clone().map_err(|_| LinkFail::ConnLost)?;
+        let _ = reader_stream.set_read_timeout(Some(IO_TICK));
+        let id = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
+        let alive = Arc::new(AtomicBool::new(true));
+        let vitals = &self.vitals[rank];
+        let reader = {
+            let (pending, alive, vitals) =
+                (Arc::clone(pending), Arc::clone(&alive), vitals.clone());
+            std::thread::Builder::new()
+                .name("secndp-net-reader".into())
+                .spawn(move || reader_loop(reader_stream, pending, alive, vitals, id))
+                .expect("spawn net reader thread")
+        };
+        vitals.live.fetch_add(1, Ordering::Relaxed);
+        vitals.ever.store(true, Ordering::Relaxed);
+        Ok(LiveConn {
+            stream,
+            id,
+            alive,
+            reader: Some(reader),
+            vitals: Arc::clone(vitals),
+        })
+    }
+}
+
+impl Link for TcpLink {
+    fn vitals(&self) -> &[Arc<RankVitals>] {
+        &self.vitals
+    }
+
+    fn send(
+        &self,
+        rank: usize,
+        id: u64,
+        frame: &Arc<Vec<u8>>,
+        pending: &Arc<Pending>,
+    ) -> Result<(), LinkFail> {
+        if frame.len() > MAX_NET_FRAME {
+            return Err(LinkFail::TooLarge(frame.len()));
+        }
+        let conns = &self.ranks[rank].conns;
+        let slot = self.next_conn.fetch_add(1, Ordering::Relaxed) % conns.len();
+        let mut cell = conns[slot].lock().unwrap_or_else(PoisonError::into_inner);
+        let conn = self.connected(&mut cell, rank, pending)?;
+        pending.set_route(id, conn.id);
+        let mut header = [0u8; REQ_HEADER];
+        header[..8].copy_from_slice(&id.to_le_bytes());
+        header[8..16].copy_from_slice(&self.session.to_le_bytes());
+        header[16..].copy_from_slice(&(rank as u32).to_le_bytes());
+        match write_record(&mut conn.stream, &header, frame) {
+            Ok(n) => {
+                crate::metrics::net_tx_bytes().add(n as u64);
+                Ok(())
+            }
+            Err(_) => {
+                // The write tore mid-record: the stream cannot be reused,
+                // and the server never serves a torn record.
+                cell.conn = None;
+                Err(LinkFail::ConnLost)
+            }
+        }
+    }
+}
+
+/// Reader half of one connection: demultiplexes reply records into the
+/// pending table by request id. On any framing violation, close or
+/// teardown it fails exactly its own route's in-flight requests and exits.
+fn reader_loop(
+    mut stream: TcpStream,
+    pending: Arc<Pending>,
+    alive: Arc<AtomicBool>,
+    vitals: Arc<RankVitals>,
+    route: u64,
+) {
+    let stopped = || !alive.load(Ordering::SeqCst);
+    let fail = loop {
+        let mut len_buf = [0u8; 4];
+        if !read_full(&mut stream, &mut len_buf, stopped) {
+            break LinkFail::ConnLost;
+        }
+        let len = u32::from_le_bytes(len_buf);
+        if len == SHUTDOWN_SENTINEL {
+            // The server acknowledged a drain; the connection is over.
+            break LinkFail::ConnLost;
+        }
+        let len = len as usize;
+        if !(REPLY_HEADER + 1..=MAX_NET_FRAME + REPLY_HEADER).contains(&len) {
+            break LinkFail::TooLarge(len);
+        }
+        let mut payload = vec![0u8; len];
+        if !read_full(&mut stream, &mut payload, stopped) {
+            break LinkFail::ConnLost;
+        }
+        crate::metrics::net_rx_bytes().add(4 + len as u64);
+        let req_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
+        payload.drain(..REPLY_HEADER);
+        vitals.end_serve();
+        pending.complete(req_id, Ok(payload));
+    };
+    // Exactly-once live-count decrement (see LiveConn::drop).
+    if alive.swap(false, Ordering::SeqCst) {
+        vitals.live.fetch_sub(1, Ordering::Relaxed);
+    }
+    pending.fail_route(route, fail);
 }
 
 impl TcpEndpoint {
@@ -671,13 +696,11 @@ impl TcpEndpoint {
                 reason: "tcp endpoint needs at least one rank address",
             });
         }
-        Ok(Self::build(cfg, None))
+        Ok(Self::from_link(TcpLink::new(&cfg), cfg.transport))
     }
 
-    /// Spawns a private loopback [`NetServer`] hosting `device` and
-    /// connects a single-rank endpoint to it: every frame crosses a real
-    /// kernel TCP socket while the device semantics (honest, tampering,
-    /// delayed, …) are fully preserved. This is what
+    /// A single-rank endpoint over a private loopback [`NetServer`]
+    /// hosting `device` (see [`TcpLink::self_hosted`]). This is what
     /// `SECNDP_TRANSPORT=tcp` without `SECNDP_TRANSPORT_ADDRS` rides.
     ///
     /// # Errors
@@ -687,513 +710,9 @@ impl TcpEndpoint {
         device: D,
         cfg: NetConfig,
     ) -> io::Result<Self> {
-        let server = NetServer::host_device(device, "127.0.0.1:0")?;
-        let mut cfg = cfg;
-        cfg.addrs = vec![server.local_addr().to_string()];
-        Ok(Self::build(cfg, Some(server)))
-    }
-
-    fn build(cfg: NetConfig, self_server: Option<NetServer>) -> Self {
-        // Touch every net instrument so they exist (as zeros) in exported
-        // metrics before the first connection or timeout.
-        crate::metrics::net_connects();
-        crate::metrics::net_reconnects();
-        crate::metrics::net_tx_bytes();
-        crate::metrics::net_rx_bytes();
-        crate::metrics::net_submitted();
-        crate::metrics::net_completed();
-        crate::metrics::net_timeouts();
-        crate::metrics::net_retries();
-        crate::metrics::net_conn_failures();
-        crate::metrics::net_late_replies();
-        let pool = cfg.pool.max(1);
-        let links: Vec<RankLink> = cfg
-            .addrs
-            .iter()
-            .map(|addr| RankLink {
-                addr: addr.clone(),
-                conns: (0..pool)
-                    .map(|_| {
-                        Mutex::new(ConnCell {
-                            conn: None,
-                            next_gen: 0,
-                        })
-                    })
-                    .collect(),
-                vitals: Arc::new(NetRankVitals::default()),
-            })
-            .collect();
-        let vitals: Vec<Arc<NetRankVitals>> = links.iter().map(|l| Arc::clone(&l.vitals)).collect();
-        let (health, component) = register_net_health(vitals, cfg.addrs.clone());
-        Self {
-            links,
-            shared: Arc::new(NetShared {
-                table: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            }),
-            session: fresh_session(),
-            stop: Arc::new(AtomicBool::new(false)),
-            next_id: AtomicU64::new(1),
-            next_rank: AtomicUsize::new(0),
-            next_conn: AtomicUsize::new(0),
-            cfg,
-            health: Some(health),
-            component,
-            self_server,
-        }
-    }
-
-    /// Number of ranks (server addresses).
-    pub fn ranks(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The session id this endpoint namespaces its tables under.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// The endpoint's configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// The health component name this endpoint registered under
-    /// (`net-epN`), as it appears in `/healthz` reports.
-    pub fn health_component(&self) -> &str {
-        &self.component
-    }
-
-    /// Per-rank connection vitals, rank order.
-    pub fn rank_vitals(&self, rank: usize) -> &NetRankVitals {
-        &self.links[rank].vitals
-    }
-
-    /// The self-hosted loopback server's address, if any.
-    pub fn self_server_addr(&self) -> Option<SocketAddr> {
-        self.self_server.as_ref().map(NetServer::local_addr)
-    }
-
-    /// Establishes (or re-establishes) the connection in `cell`, retrying
-    /// with backoff up to `connect_retries` times.
-    fn ensure_connected(
-        &self,
-        cell: &mut ConnCell,
-        rank: usize,
-        conn_idx: usize,
-    ) -> Result<(), Error> {
-        if cell
-            .conn
-            .as_ref()
-            .is_some_and(|c| c.alive.load(Ordering::SeqCst))
-        {
-            return Ok(());
-        }
-        // Dropping the dead connection joins its reader before dialing,
-        // keeping the thread count bounded across reconnect storms.
-        let reconnect = cell.conn.take().is_some() || cell.next_gen > 0;
-        let link = &self.links[rank];
-        let mut attempt = 0u32;
-        let stream = loop {
-            match TcpStream::connect(&link.addr) {
-                Ok(s) => break s,
-                Err(_) if attempt < self.cfg.connect_retries => {
-                    attempt += 1;
-                    std::thread::sleep(self.cfg.connect_backoff);
-                }
-                Err(_) => {
-                    return Err(Error::ConnectionLost {
-                        attempts: attempt + 1,
-                    })
-                }
-            }
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(self.cfg.timeout.max(IO_TICK)));
-        let gen = cell.next_gen;
-        cell.next_gen += 1;
-        let alive = Arc::new(AtomicBool::new(true));
-        let reader_stream = stream.try_clone().map_err(|_| Error::ConnectionLost {
-            attempts: attempt + 1,
-        })?;
-        let _ = reader_stream.set_read_timeout(Some(IO_TICK));
-        let reader = {
-            let shared = Arc::clone(&self.shared);
-            let alive = Arc::clone(&alive);
-            let stop = Arc::clone(&self.stop);
-            let vitals = Arc::clone(&link.vitals);
-            std::thread::Builder::new()
-                .name("secndp-net-reader".into())
-                .spawn(move || {
-                    reader_loop(
-                        reader_stream,
-                        shared,
-                        alive,
-                        stop,
-                        vitals,
-                        (rank, conn_idx, gen),
-                    )
-                })
-                .expect("spawn net reader thread")
-        };
-        crate::metrics::net_connects().inc();
-        if reconnect {
-            crate::metrics::net_reconnects().inc();
-        }
-        link.vitals.live.fetch_add(1, Ordering::Relaxed);
-        link.vitals.ever.store(true, Ordering::Relaxed);
-        cell.conn = Some(LiveConn {
-            stream,
-            gen,
-            alive,
-            reader: Some(reader),
-            vitals: Arc::clone(&link.vitals),
-        });
-        Ok(())
-    }
-
-    /// Registers a slot and writes the request on one pooled connection.
-    /// On a write failure the connection is torn down and the slot
-    /// removed, so the caller can retry on a fresh one.
-    fn send_once(&self, rank: usize, conn_idx: usize, id: u64, frame: &[u8]) -> Result<(), Error> {
-        let mut cell = self.links[rank].conns[conn_idx].lock().unwrap();
-        self.ensure_connected(&mut cell, rank, conn_idx)?;
-        let conn = cell.conn.as_mut().expect("ensure_connected leaves a conn");
-        let route = (rank, conn_idx, conn.gen);
-        self.shared.table.lock().unwrap().insert(
-            id,
-            NetSlot {
-                state: NetState::Waiting,
-                route,
-            },
-        );
-        crate::metrics::net_submitted().inc();
-        match write_request(&mut conn.stream, id, self.session, rank as u32, frame) {
-            Ok(n) => {
-                crate::metrics::net_tx_bytes().add(n as u64);
-                crate::metrics::wire_packets().inc();
-                crate::metrics::wire_tx_bytes().add(frame.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
-                Ok(())
-            }
-            Err(_) => {
-                // The write tore mid-record: the stream cannot be reused.
-                cell.conn = None;
-                self.shared.table.lock().unwrap().remove(&id);
-                crate::metrics::net_conn_failures().inc();
-                Err(Error::ConnectionLost { attempts: 1 })
-            }
-        }
-    }
-
-    /// Blocks until the slot settles or `deadline` passes, consuming the
-    /// slot in every outcome.
-    fn wait_reply(&self, id: u64, deadline: Instant) -> WaitOutcome {
-        let mut t = self.shared.table.lock().unwrap();
-        loop {
-            match t.get(&id) {
-                None => return WaitOutcome::Failed(NetFail::ConnLost),
-                Some(slot) if !matches!(slot.state, NetState::Waiting) => {
-                    let slot = t.remove(&id).unwrap();
-                    return match slot.state {
-                        NetState::Reply(bytes) => WaitOutcome::Reply(bytes),
-                        NetState::Failed(f) => WaitOutcome::Failed(f),
-                        NetState::Waiting => unreachable!(),
-                    };
-                }
-                Some(_) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        t.remove(&id);
-                        return WaitOutcome::TimedOut;
-                    }
-                    let (guard, _) = self.shared.cv.wait_timeout(t, deadline - now).unwrap();
-                    t = guard;
-                }
-            }
-        }
-    }
-
-    /// One logical request against `rank`: send, await, retry per the
-    /// idempotency rules, decode. The frame must already be encoded (with
-    /// whatever trace envelope the caller pinned).
-    fn rank_request(&self, rank: usize, frame: &[u8], idempotent: bool) -> Result<Response, Error> {
-        let max_attempts = if idempotent {
-            1 + self.cfg.max_retries
-        } else {
-            1
-        };
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let conn_idx =
-                self.next_conn.fetch_add(1, Ordering::Relaxed) % self.links[rank].conns.len();
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let outcome = match self.send_once(rank, conn_idx, id, frame) {
-                Ok(()) => self.wait_reply(
-                    id,
-                    Instant::now() + self.cfg.timeout + self.cfg.backoff * (attempts - 1),
-                ),
-                Err(e) => {
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            match outcome {
-                WaitOutcome::Reply(bytes) => {
-                    crate::metrics::net_completed().inc();
-                    crate::metrics::wire_rx_bytes().add(bytes.len() as u64);
-                    secndp_telemetry::profile::add_wire_bytes(0, bytes.len() as u64);
-                    self.links[rank]
-                        .vitals
-                        .served
-                        .fetch_add(1, Ordering::Relaxed);
-                    return wire::decode_reply(&bytes);
-                }
-                WaitOutcome::Failed(NetFail::TooLarge(len)) => {
-                    crate::metrics::net_conn_failures().inc();
-                    return Err(Error::FrameTooLarge { len });
-                }
-                WaitOutcome::Failed(NetFail::ConnLost) => {
-                    crate::metrics::net_conn_failures().inc();
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(Error::ConnectionLost { attempts });
-                }
-                WaitOutcome::TimedOut => {
-                    crate::metrics::net_timeouts().inc();
-                    if attempts < max_attempts {
-                        crate::metrics::net_retries().inc();
-                        secndp_telemetry::profile::add_retries(1);
-                        continue;
-                    }
-                    return Err(Error::DeviceTimeout {
-                        deadline_ms: self.cfg.timeout.as_millis() as u64,
-                        attempts,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Routes one request: `Load` is sent once to **every** rank (never
-    /// retried — re-sending could resurrect a stale table image), other
-    /// requests go to one round-robin rank with idempotent retry. The
-    /// frame is encoded under the ambient trace context, so device-side
-    /// `ndp_serve` spans stitch under the caller's span exactly as on the
-    /// in-process transports.
-    pub(crate) fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let ctx = trace::current();
-        let frame = {
-            let _e = trace::span(trace::names::WIRE_ENCODE);
-            req.encode_traced(ctx)?
-        };
-        if frame.len() > MAX_NET_FRAME {
-            return Err(Error::FrameTooLarge { len: frame.len() });
-        }
-        if matches!(req, Request::Load { .. }) {
-            // Broadcast: every rank must hold the table; any failure is
-            // reported only after every rank was attempted, so a partial
-            // broadcast is never silently half-done.
-            let mut first_err: Option<Result<Response, Error>> = None;
-            let mut last_ok = None;
-            for rank in 0..self.links.len() {
-                match self.rank_request(rank, &frame, false) {
-                    Ok(Response::Err(code)) if first_err.is_none() => {
-                        first_err = Some(Ok(Response::Err(code)));
-                    }
-                    Err(e) if first_err.is_none() => first_err = Some(Err(e)),
-                    r => last_ok = Some(r),
-                }
-            }
-            return first_err
-                .or(last_ok)
-                .unwrap_or_else(|| Err(crate::metrics::malformed("broadcast to zero ranks")));
-        }
-        let rank = self.next_rank.fetch_add(1, Ordering::Relaxed) % self.links.len();
-        self.rank_request(rank, &frame, true)
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        // Unregister health first so /healthz never scores a torn-down
-        // endpoint, then stop the readers, then drain the loopback server.
-        self.health.take();
-        self.stop.store(true, Ordering::SeqCst);
-        for link in &self.links {
-            for cell in &link.conns {
-                cell.lock().unwrap().conn = None;
-            }
-        }
-        self.self_server.take();
-    }
-}
-
-/// Reader half of one connection: demultiplexes reply records into the
-/// pending table by request id. On any framing violation or close it
-/// fails exactly its own route's in-flight requests and exits.
-fn reader_loop(
-    mut stream: TcpStream,
-    shared: Arc<NetShared>,
-    alive: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    vitals: Arc<NetRankVitals>,
-    route: (usize, usize, u64),
-) {
-    let stopped = || !alive.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);
-    let fail = loop {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, stopped) {
-            Ok(ReadOutcome::Full) => {}
-            Ok(ReadOutcome::Stopped) => break None,
-            _ => break Some(NetFail::ConnLost),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == SHUTDOWN_SENTINEL {
-            // The server acknowledged a drain; the connection is over.
-            break Some(NetFail::ConnLost);
-        }
-        let len = len as usize;
-        if !(REPLY_HEADER + 1..=MAX_NET_FRAME + REPLY_HEADER).contains(&len) {
-            break Some(NetFail::TooLarge(len));
-        }
-        let mut payload = vec![0u8; len];
-        match read_full(&mut stream, &mut payload, stopped) {
-            Ok(ReadOutcome::Full) => {}
-            Ok(ReadOutcome::Stopped) => break None,
-            _ => break Some(NetFail::ConnLost),
-        }
-        crate::metrics::net_rx_bytes().add(4 + len as u64);
-        let req_id = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        shared.complete(req_id, payload[REPLY_HEADER..].to_vec());
-    };
-    // Exactly-once live-count decrement (see LiveConn::drop).
-    if alive.swap(false, Ordering::SeqCst) {
-        vitals.live.fetch_sub(1, Ordering::Relaxed);
-    }
-    if let Some(f) = fail {
-        shared.fail_route(route, f);
-    }
-}
-
-/// Registers the endpoint's `net-epN` component with the process-wide
-/// [`health::monitor`]: disconnected ranks degrade (all down → failing),
-/// and reconnect churn within the health window degrades.
-fn register_net_health(
-    vitals: Vec<Arc<NetRankVitals>>,
-    addrs: Vec<String>,
-) -> (health::HealthCheckHandle, String) {
-    static EP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let component = format!("net-ep{}", EP_SEQ.fetch_add(1, Ordering::Relaxed));
-    let handle = health::monitor().register(&component, move |ctx| {
-        let down: Vec<usize> = vitals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.disconnected())
-            .map(|(i, _)| i)
-            .collect();
-        if !down.is_empty() && down.len() == vitals.len() {
-            return (
-                HealthStatus::Failing,
-                format!("all {} tcp rank(s) disconnected ({addrs:?})", vitals.len()),
-            );
-        }
-        if !down.is_empty() {
-            return (
-                HealthStatus::Degraded,
-                format!("tcp rank(s) {down:?} disconnected"),
-            );
-        }
-        let reconnects = ctx.counter_delta("secndp_net_reconnects_total");
-        if reconnects > 0 {
-            return (
-                HealthStatus::Degraded,
-                format!("{reconnects} tcp reconnect(s) within the window"),
-            );
-        }
-        let live: usize = vitals.iter().map(|v| v.live_connections()).sum();
-        let served: u64 = vitals.iter().map(|v| v.served()).sum();
-        (
-            HealthStatus::Ok,
-            format!(
-                "{} rank(s), {live} live connection(s), {served} replies",
-                vitals.len()
-            ),
-        )
-    });
-    (handle, component)
-}
-
-/// Blocking [`NdpDevice`] facade, the same shape as the
-/// [`AsyncEndpoint`](crate::transport::AsyncEndpoint) one: trait-generic
-/// code — the full e2e suite — runs over real sockets unchanged.
-impl NdpDevice for TcpEndpoint {
-    fn load(
-        &mut self,
-        table_addr: u64,
-        ciphertext: Vec<u8>,
-        row_bytes: usize,
-        tags: Option<Vec<Fq>>,
-    ) -> Result<(), Error> {
-        validate_load(ciphertext.len(), row_bytes)?;
-        let mut sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        sp.attr_u64("ranks", self.ranks() as u64);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::Load {
-            table_addr,
-            row_bytes: row_bytes as u32,
-            ciphertext,
-            tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
-        };
-        match self.round_trip(&req)? {
-            Response::Ack => Ok(()),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("unexpected load reply")),
-        }
-    }
-
-    fn weighted_sum<W: RingWord>(
-        &self,
-        table_addr: u64,
-        indices: &[usize],
-        weights: &[W],
-        with_tag: bool,
-    ) -> Result<NdpResponse<W>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::WeightedSum {
-            table_addr,
-            elem_bytes: W::BYTES as u8,
-            indices: indices.iter().map(|&i| i as u64).collect(),
-            weights: weights.iter().map(|w| w.as_u64()).collect(),
-            with_tag,
-        };
-        let resp = self.round_trip(&req)?;
-        drop(sp);
-        wire::sum_from_response(resp, table_addr)
-    }
-
-    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        let req = Request::ReadRow {
-            table_addr,
-            row: row as u64,
-        };
-        let resp = self.round_trip(&req)?;
-        drop(sp);
-        match resp {
-            Response::Row(b) => Ok(b),
-            Response::Err(code) => Err(wire::error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("wrong response kind")),
-        }
+        Ok(Self::from_link(
+            TcpLink::self_hosted(device, &cfg)?,
+            cfg.transport,
+        ))
     }
 }

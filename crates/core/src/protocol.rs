@@ -336,18 +336,16 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         sp.attr_u64("base_addr", handle.layout.base_addr());
         sp.attr_u64("rows", indices.len() as u64);
         let _cost = secndp_telemetry::profile::begin_query("weighted_sum");
-        self.validate_query(handle, indices, weights)?;
-        if verify && !handle.has_tags {
-            return Err(Error::TagsUnavailable);
-        }
-        let layout = handle.layout;
+        // A batch of one: one planner/cache pass for data pads, tag pads
+        // and checksum secrets, and the batch path's reconstruct tail.
+        let plan = self.plan_batch(handle, &[(indices, weights)], verify)?;
         crate::metrics::queries().inc();
         let response = {
             let _s = trace::span(trace::names::NDP_COMPUTE);
             let _t = crate::metrics::stage_ndp_compute_timer();
-            device.weighted_sum::<W>(layout.base_addr(), indices, weights, verify)?
+            device.weighted_sum::<W>(handle.layout.base_addr(), indices, weights, verify)?
         };
-        self.reconstruct_response(handle, indices, weights, &response, verify)
+        self.reconstruct_planned(handle, &plan, 0, weights, &response, verify)
     }
 
     /// Reconstructs (and optionally verifies) a raw
@@ -370,30 +368,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         response: &crate::device::NdpResponse<W>,
         verify: bool,
     ) -> Result<Vec<W>, Error> {
-        self.validate_query(handle, indices, weights)?;
-        let layout = handle.layout;
-        if response.c_res.len() != layout.cols() {
-            return Err(crate::metrics::malformed(
-                "result width differs from table columns",
-            ));
-        }
-
-        let res = {
-            let _s = trace::span(trace::names::DECRYPT);
-            let _t = crate::metrics::stage_decrypt_timer();
-            // OTP PU: E_res ← Σₖ aₖ · E_{iₖ} (Alg 4 lines 8–14).
-            let e_res = self.otp_share(&layout, handle.version, indices, weights);
-            // SecNDPLd: one final ring addition (Alg 4 line 15).
-            add_elementwise(&response.c_res, &e_res)
-        };
-
-        if verify {
-            let c_t_res = response.c_t_res.ok_or_else(|| {
-                crate::metrics::malformed("verification requested but no tag returned")
-            })?;
-            self.verify_result(handle, indices, weights, &res, c_t_res)?;
-        }
-        Ok(res)
+        let plan = self.plan_batch(handle, &[(indices, weights)], verify)?;
+        self.reconstruct_planned(handle, &plan, 0, weights, response, verify)
     }
 
     /// Executes a batch of weighted summations against one table — the
@@ -437,23 +413,24 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         Ok(out)
     }
 
-    /// [`weighted_sum_batch`](Self::weighted_sum_batch) over an
-    /// [`AsyncEndpoint`](crate::transport::AsyncEndpoint): all queries are
-    /// submitted up front (bounded by the endpoint's in-flight window) and
-    /// pipelined across its device ranks, overlapping the per-query wire
+    /// [`weighted_sum_batch`](Self::weighted_sum_batch) over a transport
+    /// [`Endpoint`](crate::transport::Endpoint) on any link: all queries
+    /// are submitted up front (bounded by the endpoint's in-flight window)
+    /// and pipelined across its device ranks, overlapping the per-query
     /// round trips the blocking loop serializes. Results are reconstructed
     /// and verified in submission order as completions arrive, so the
-    /// returned vector is identical to the blocking batch.
+    /// returned vector is identical to the blocking batch. On the first
+    /// failure every request still outstanding is abandoned.
     ///
     /// # Errors
     ///
     /// Same as [`weighted_sum_batch`](Self::weighted_sum_batch), plus
     /// [`Error::DeviceTimeout`] when a rank stalls past its deadline (and
     /// retries are exhausted).
-    pub fn weighted_sum_batch_pipelined<W: RingWord>(
+    pub fn weighted_sum_batch_pipelined<W: RingWord, L: crate::transport::Link>(
         &self,
         handle: &TableHandle,
-        endpoint: &crate::transport::AsyncEndpoint,
+        endpoint: &crate::transport::Endpoint<L>,
         queries: &[(Vec<usize>, Vec<W>)],
         verify: bool,
     ) -> Result<Vec<Vec<W>>, Error> {
@@ -468,7 +445,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
 
         // Submit everything first — the endpoint's window provides the
         // backpressure — then reap in order while later queries execute.
-        let wire_sp = trace::span(trace::names::WIRE_ROUND_TRIP);
+        let _wire = trace::span(trace::names::WIRE_ROUND_TRIP);
         let mut ids = Vec::with_capacity(queries.len());
         for (idx, weights) in queries {
             crate::metrics::queries().inc();
@@ -479,32 +456,48 @@ impl<C: BlockCipher> TrustedProcessor<C> {
                 weights: weights.iter().map(|w| w.as_u64()).collect(),
                 with_tag: verify,
             };
-            ids.push(endpoint.submit(&req)?);
+            match endpoint.submit(&req) {
+                Ok(id) => ids.push(id),
+                Err(e) => {
+                    ids.into_iter().for_each(|id| endpoint.abandon(id));
+                    return Err(e);
+                }
+            }
         }
         let mut out = Vec::with_capacity(queries.len());
-        for (qi, ((_, weights), id)) in queries.iter().zip(ids).enumerate() {
-            let response = {
+        for (qi, (_, weights)) in queries.iter().enumerate() {
+            let res = {
                 let _s = trace::span(trace::names::NDP_COMPUTE);
                 let _t = crate::metrics::stage_ndp_compute_timer();
-                sum_from_response::<W>(endpoint.wait(id)?, layout.base_addr())?
-            };
-            out.push(self.reconstruct_planned(handle, &plan, qi, weights, &response, verify)?);
+                endpoint
+                    .wait(ids[qi])
+                    .and_then(|resp| sum_from_response::<W>(resp, layout.base_addr()))
+            }
+            .and_then(|response| {
+                self.reconstruct_planned(handle, &plan, qi, weights, &response, verify)
+            });
+            match res {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    ids[qi + 1..].iter().for_each(|&id| endpoint.abandon(id));
+                    return Err(e);
+                }
+            }
         }
-        drop(wire_sp);
         Ok(out)
     }
 
     /// Validates a batch and plans all of its pad material — data pads for
     /// every referenced row and, when verifying, tag pads and checksum
     /// secrets — through one cache-probed [`PadPlanner`] pass.
-    fn plan_batch<W: RingWord>(
+    fn plan_batch<W: RingWord, I: AsRef<[usize]>, A: AsRef<[W]>>(
         &self,
         handle: &TableHandle,
-        queries: &[(Vec<usize>, Vec<W>)],
+        queries: &[(I, A)],
         verify: bool,
     ) -> Result<BatchPlan, Error> {
         for (idx, w) in queries {
-            self.validate_query(handle, idx, w)?;
+            self.validate_query(handle, idx.as_ref(), w.as_ref())?;
         }
         if verify && !handle.has_tags {
             return Err(Error::TagsUnavailable);
@@ -514,6 +507,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let mut data_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
         let mut tag_ranges: Vec<Vec<PadRange>> = Vec::with_capacity(queries.len());
         for (idx, _) in queries {
+            let idx = idx.as_ref();
             data_ranges.push(
                 idx.iter()
                     .map(|&i| {
@@ -557,8 +551,8 @@ impl<C: BlockCipher> TrustedProcessor<C> {
     }
 
     /// Reconstructs (and optionally verifies) query `qi` of a planned
-    /// batch from the device's raw response — the per-query tail shared by
-    /// the blocking and pipelined batch paths.
+    /// batch from the device's raw response — the one reconstruct/verify
+    /// tail every query path shares.
     fn reconstruct_planned<W: RingWord>(
         &self,
         handle: &TableHandle,
@@ -577,6 +571,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
         let res = {
             let _s = trace::span(trace::names::DECRYPT);
             let _t = crate::metrics::stage_decrypt_timer();
+            // OTP PU: E_res ← Σₖ aₖ · E_{iₖ} (Alg 4 lines 8–14).
             let mut e_res = vec![W::ZERO; layout.cols()];
             for (range, &a) in plan.data_ranges[qi].iter().zip(weights) {
                 let pads = words_from_le_bytes::<W>(&plan.planner.pad_bytes(range));
@@ -584,6 +579,7 @@ impl<C: BlockCipher> TrustedProcessor<C> {
                     *acc = acc.wadd(a.wmul(e));
                 }
             }
+            // SecNDPLd: one final ring addition (Alg 4 line 15).
             add_elementwise(&response.c_res, &e_res)
         };
         if verify {
@@ -593,6 +589,9 @@ impl<C: BlockCipher> TrustedProcessor<C> {
                 crate::metrics::malformed("verification requested but no tag returned")
             })?;
             let t_res = row_checksum(&res, plan.secrets.as_ref().unwrap());
+            // E_T_res ← Σₖ aₖ · E_{T_iₖ} (Alg 5 lines 11–14); the retrieved
+            // MAC is C_T_res + E_T_res (see mac.rs on the paper's sign typo
+            // in Alg 5 line 16).
             let mut e_t_res = Fq::ZERO;
             for (range, &a) in plan.tag_ranges[qi].iter().zip(weights) {
                 e_t_res += Fq::new(a.as_u128()) * Fq::new(plan.planner.pad_first_127_bits(range));
@@ -607,88 +606,6 @@ impl<C: BlockCipher> TrustedProcessor<C> {
             }
         }
         Ok(res)
-    }
-
-    /// The processor's share `E_res` of a weighted summation (public for
-    /// tests and the simulator's OTP-PU accounting).
-    ///
-    /// Pads for all referenced rows are planned and encrypted in one
-    /// batched pass; repeated indices collapse to a single encryption.
-    pub fn otp_share<W: RingWord>(
-        &self,
-        layout: &TableLayout,
-        version: u64,
-        indices: &[usize],
-        weights: &[W],
-    ) -> Vec<W> {
-        let mut planner = PadPlanner::new();
-        let ranges: Vec<PadRange> = indices
-            .iter()
-            .map(|&i| {
-                planner.request_bytes(
-                    Domain::Data,
-                    layout.row_addr(i),
-                    layout.row_bytes(),
-                    version,
-                )
-            })
-            .collect();
-        planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let mut e_res = vec![W::ZERO; layout.cols()];
-        for (range, &a) in ranges.iter().zip(weights) {
-            let pads = words_from_le_bytes::<W>(&planner.pad_bytes(range));
-            for (acc, &e) in e_res.iter_mut().zip(&pads) {
-                *acc = acc.wadd(a.wmul(e));
-            }
-        }
-        e_res
-    }
-
-    /// Algorithm 5: recompute the checksum of the reconstructed result and
-    /// compare against the reconstructed tag.
-    fn verify_result<W: RingWord>(
-        &self,
-        handle: &TableHandle,
-        indices: &[usize],
-        weights: &[W],
-        res: &[W],
-        c_t_res: Fq,
-    ) -> Result<(), Error> {
-        let _s = trace::span(trace::names::VERIFY);
-        let _t = crate::metrics::stage_verify_timer();
-        let layout = handle.layout;
-        // Secrets and tag pads share one batched, cache-probed execute.
-        let mut planner = PadPlanner::new();
-        let secret_ranges = plan_secrets(
-            &mut planner,
-            layout.base_addr(),
-            handle.version,
-            handle.scheme,
-        );
-        let tag_ranges: Vec<PadRange> = indices
-            .iter()
-            .map(|&i| planner.request_block(Domain::Tag, layout.row_addr(i), handle.version))
-            .collect();
-        planner.execute_cached(self.otp.cipher(), Some(&self.pad_cache));
-        let secrets = secrets_from_plan(&planner, &secret_ranges);
-        let t_res = row_checksum(res, &secrets);
-        // E_T_res ← Σₖ aₖ · E_{T_iₖ} (Alg 5 lines 11–14).
-        let mut e_t_res = Fq::ZERO;
-        for (range, &a) in tag_ranges.iter().zip(weights) {
-            e_t_res += Fq::new(a.as_u128()) * Fq::new(planner.pad_first_127_bits(range));
-        }
-        // Retrieved MAC = C_T_res + E_T_res (see mac.rs on the paper's sign
-        // typo in Alg 5 line 16).
-        if t_res == c_t_res + e_t_res {
-            Ok(())
-        } else {
-            Err(crate::metrics::verification_failed(
-                layout.base_addr(),
-                handle.region.0,
-                handle.version,
-                handle.scheme.name(),
-            ))
-        }
     }
 
     /// Fetches one row back from the device and decrypts it (a plain

@@ -8,9 +8,9 @@
 //! hidden Rust-object channel is smuggling state between the parties.
 //!
 //! Framing: one tag byte, then fields in little-endian; variable-length
-//! vectors are `u32` length-prefixed. [`RemoteNdp`] wraps any device and
-//! forces every interaction through encode → decode → execute → encode →
-//! decode, byte-for-byte.
+//! vectors are `u32` length-prefixed. [`RemoteNdp`] puts any device behind
+//! a transport [`Endpoint`], forcing every interaction through encode →
+//! decode → execute → encode → decode, byte-for-byte.
 //!
 //! # Traced frames (v2 envelope)
 //!
@@ -28,14 +28,13 @@
 //! [`Request::encode_traced`] adds the envelope only when the supplied
 //! context is non-empty, so untraced builds produce byte-identical frames.
 
-use crate::device::{validate_load, NdpDevice, NdpResponse};
+use crate::device::{NdpDevice, NdpResponse};
 use crate::error::Error;
-use crate::net::{NetConfig, TcpEndpoint};
-use crate::transport::{AsyncEndpoint, TransportConfig};
+use crate::net::{NetConfig, TcpLink};
+use crate::transport::{ChannelLink, DynLink, Endpoint, InlineLink, TransportConfig};
 use secndp_arith::mersenne::Fq;
 use secndp_arith::ring::{words_from_le_bytes, words_to_le_bytes, RingWord};
 use secndp_telemetry::trace::{self, SpanContext, SpanId, TraceId};
-use std::sync::Mutex;
 
 /// Envelope tag for traced (v2) frames. Disjoint from every v1 frame tag
 /// (requests `0x01–0x03`, responses `0x81–0x83` / `0xFF`).
@@ -516,9 +515,13 @@ fn error_code(e: &Error) -> u16 {
         Error::QueryLengthMismatch { .. } => 4,
         Error::ColOutOfBounds { .. } => 5,
         Error::ShapeMismatch { .. } => 6,
-        _ => 0xFFFE,
+        _ => CODE_DEVICE_ERROR,
     }
 }
+
+/// Device-side code for a failure with no specific code — including a
+/// device that panicked while serving the request.
+pub const CODE_DEVICE_ERROR: u16 = 0xFFFE;
 
 /// Device-side code for an unsupported element width: a frame that decodes
 /// but names a width the device will not compute.
@@ -609,21 +612,24 @@ pub fn serve<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Result<Vec<u8>, Wire
 /// the request's trace envelope (when one is readable), so even the
 /// rejection stitches into the caller's trace.
 pub fn serve_or_reply<D: NdpDevice>(device: &mut D, frame: &[u8]) -> Vec<u8> {
-    match serve(device, frame) {
-        Ok(reply) => reply,
-        Err(err) => {
-            let code = match err {
-                WireError::BadElemBytes(_) => CODE_BAD_ELEM_BYTES,
-                _ => CODE_BAD_FRAME,
-            };
-            let ctx = strip_envelope(frame)
-                .map(|(_, c)| c)
-                .unwrap_or(SpanContext::NONE);
-            Response::Err(code)
-                .encode_traced(ctx)
-                .expect("error frame encodes")
-        }
-    }
+    serve(device, frame).unwrap_or_else(|err| {
+        let code = match err {
+            WireError::BadElemBytes(_) => CODE_BAD_ELEM_BYTES,
+            _ => CODE_BAD_FRAME,
+        };
+        error_reply(frame, code)
+    })
+}
+
+/// A `Response::Err(code)` reply frame to request `frame`, echoing its
+/// trace envelope when one is readable.
+pub(crate) fn error_reply(frame: &[u8], code: u16) -> Vec<u8> {
+    let ctx = strip_envelope(frame)
+        .map(|(_, c)| c)
+        .unwrap_or(SpanContext::NONE);
+    Response::Err(code)
+        .encode_traced(ctx)
+        .expect("error frame encodes")
 }
 
 /// Converts the wire's `u64` row indices to host `usize`, refusing (rather
@@ -697,31 +703,6 @@ fn run_sum<W: RingWord, D: NdpDevice>(
     Ok((words_to_le_bytes(&r.c_res), r.c_t_res.map(|t| t.value())))
 }
 
-/// A device adaptor that forces every interaction through the byte-exact
-/// wire format, proving the protocol carries everything it needs.
-///
-/// Two transports back it: the default serves each frame *inline* on the
-/// caller's thread (the blocking round trip), while
-/// [`async_backed`](Self::async_backed) — or `SECNDP_TRANSPORT=async` in
-/// the environment — routes frames through an
-/// [`AsyncEndpoint`](crate::transport::AsyncEndpoint) worker, exercising
-/// the submit/wait completion path with identical semantics.
-#[derive(Debug)]
-pub struct RemoteNdp<D> {
-    backend: Backend<D>,
-}
-
-#[derive(Debug)]
-enum Backend<D> {
-    /// Serve frames on the caller's thread (the blocking path).
-    Inline(Mutex<D>),
-    /// Submit frames to a worker-thread endpoint and await completion.
-    Async(Box<AsyncEndpoint>),
-    /// Ship frames over a real kernel TCP socket to a
-    /// [`NetServer`](crate::net::NetServer) (external or self-hosted).
-    Tcp(Box<TcpEndpoint>),
-}
-
 /// Decodes a reply frame from the untrusted device, mapping any wire-level
 /// failure to a typed error. A malicious or faulty device must never be
 /// able to panic the trusted side by sending garbage.
@@ -729,8 +710,8 @@ pub(crate) fn decode_reply(reply: &[u8]) -> Result<Response, Error> {
     Response::decode(reply).map_err(|_| crate::metrics::malformed("undecodable reply frame"))
 }
 
-/// Interprets a reply to a weighted-sum request, shared by the blocking
-/// and async transports so both map device replies identically.
+/// Interprets a reply to a weighted-sum request, shared by the endpoint
+/// facade and the pipelined batch so both map device replies identically.
 pub(crate) fn sum_from_response<W: RingWord>(
     resp: Response,
     table_addr: u64,
@@ -746,151 +727,43 @@ pub(crate) fn sum_from_response<W: RingWord>(
     }
 }
 
+/// A device behind the byte-exact wire: an [`Endpoint`] over the link the
+/// constructor picks, so every interaction is encoded, served from frame
+/// bytes and decoded — no hidden object channel between the parties.
+pub type RemoteNdp<D> = Endpoint<DynLink<D>>;
+
 impl<D: NdpDevice + Send + 'static> RemoteNdp<D> {
-    /// Wraps a device behind the wire. The transport is chosen by the
-    /// `SECNDP_TRANSPORT` environment variable: `async` routes every frame
-    /// through a single-rank [`AsyncEndpoint`](crate::transport::AsyncEndpoint)
-    /// (configured by the `SECNDP_TRANSPORT_*` knobs); anything else — or
-    /// nothing — serves frames inline on the caller's thread.
+    /// Wraps a device behind the wire on the link `SECNDP_TRANSPORT`
+    /// names: `async` serves it from a rank worker thread, `tcp` from a
+    /// loopback [`NetServer`](crate::net::NetServer) — or, with
+    /// `SECNDP_TRANSPORT_ADDRS` set, from those external servers (`inner`
+    /// is then dropped) — and anything else inline on the caller's thread.
+    /// The `SECNDP_TRANSPORT_*` knobs configure the endpoint
+    /// ([`NetConfig::from_env`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the loopback server cannot bind.
     pub fn new(inner: D) -> Self {
-        match std::env::var("SECNDP_TRANSPORT").as_deref() {
-            Ok("async") => Self::async_backed(inner, TransportConfig::from_env()),
-            Ok("tcp") => Self::tcp_from_env(inner),
-            _ => Self::inline(inner),
-        }
-    }
-
-    /// Wraps a device behind an async (worker-thread) transport, explicitly.
-    pub fn async_backed(inner: D, cfg: TransportConfig) -> Self {
-        Self {
-            backend: Backend::Async(Box::new(AsyncEndpoint::single(inner, cfg))),
-        }
-    }
-
-    /// The `SECNDP_TRANSPORT=tcp` backend: with `SECNDP_TRANSPORT_ADDRS`
-    /// set, connects to those external server ranks (`inner` is dropped —
-    /// the server hosts the devices); otherwise self-hosts `inner` behind
-    /// a private loopback [`NetServer`](crate::net::NetServer) so every
-    /// frame still crosses a real kernel socket.
-    pub fn tcp_from_env(inner: D) -> Self {
         let cfg = NetConfig::from_env();
-        let ep = if cfg.addrs.is_empty() {
-            TcpEndpoint::self_hosted(inner, cfg).expect("bind loopback ndp device server")
-        } else {
-            TcpEndpoint::connect(cfg).expect("connect tcp ndp endpoint")
+        let link = match std::env::var("SECNDP_TRANSPORT").as_deref() {
+            Ok("async") => DynLink::new(ChannelLink::new(vec![inner], None)),
+            Ok("tcp") if cfg.addrs.is_empty() => DynLink::new(
+                TcpLink::self_hosted(inner, &cfg).expect("bind loopback ndp device server"),
+            ),
+            Ok("tcp") => DynLink::new(TcpLink::new(&cfg)),
+            _ => DynLink::new(InlineLink::new(inner)),
         };
-        Self {
-            backend: Backend::Tcp(Box::new(ep)),
-        }
+        Self::from_link(link, cfg.transport)
     }
-}
 
-impl<D: NdpDevice> RemoteNdp<D> {
-    /// Wraps a device behind the blocking inline transport, explicitly
-    /// (ignores `SECNDP_TRANSPORT`).
+    /// Serves frames inline on the caller's thread, explicitly (ignores
+    /// `SECNDP_TRANSPORT`).
     pub fn inline(inner: D) -> Self {
-        Self {
-            backend: Backend::Inline(Mutex::new(inner)),
-        }
-    }
-
-    /// Wraps an already-connected TCP endpoint, explicitly.
-    pub fn tcp_backed(ep: TcpEndpoint) -> Self {
-        Self {
-            backend: Backend::Tcp(Box::new(ep)),
-        }
-    }
-
-    fn round_trip(&self, req: &Request) -> Result<Response, Error> {
-        let mut sp = trace::span(trace::names::WIRE_ROUND_TRIP);
-        let _t = crate::metrics::wire_round_trip().start_timer();
-        match &self.backend {
-            Backend::Inline(dev) => {
-                let frame = {
-                    let _e = trace::span(trace::names::WIRE_ENCODE);
-                    req.encode_traced(sp.context())?
-                };
-                crate::metrics::wire_packets().inc();
-                crate::metrics::wire_tx_bytes().add(frame.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(frame.len() as u64, 0);
-                sp.attr_u64("tx_bytes", frame.len() as u64);
-                // Re-decode both directions to guarantee byte-exactness.
-                let reply = serve(&mut *dev.lock().unwrap(), &frame)
-                    .map_err(|_| crate::metrics::malformed("device rejected request frame"))?;
-                crate::metrics::wire_rx_bytes().add(reply.len() as u64);
-                secndp_telemetry::profile::add_wire_bytes(0, reply.len() as u64);
-                sp.attr_u64("rx_bytes", reply.len() as u64);
-                decode_reply(&reply)
-            }
-            Backend::Async(ep) => {
-                // `submit` encodes under the ambient context, i.e. under
-                // `sp` — device-side spans stitch exactly as inline ones.
-                if matches!(req, Request::Load { .. }) {
-                    ep.broadcast(req)
-                } else {
-                    let id = ep.submit(req)?;
-                    ep.wait(id)
-                }
-            }
-            // The endpoint encodes under the ambient context (`sp`), so
-            // server-side `ndp_serve` spans stitch across the socket.
-            Backend::Tcp(ep) => ep.round_trip(req),
-        }
-    }
-}
-
-impl<D: NdpDevice> NdpDevice for RemoteNdp<D> {
-    fn load(
-        &mut self,
-        table_addr: u64,
-        ciphertext: Vec<u8>,
-        row_bytes: usize,
-        tags: Option<Vec<Fq>>,
-    ) -> Result<(), Error> {
-        // Validate shape before the round trip: the wire error code carries
-        // no payload, so a local check preserves the faithful field values
-        // (and skips shipping a torn table to the device at all).
-        validate_load(ciphertext.len(), row_bytes)?;
-        let req = Request::Load {
-            table_addr,
-            row_bytes: row_bytes as u32,
-            ciphertext,
-            tags: tags.map(|ts| ts.iter().map(|t| t.value()).collect()),
-        };
-        match self.round_trip(&req)? {
-            Response::Ack => Ok(()),
-            Response::Err(code) => Err(error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("unexpected load reply")),
-        }
-    }
-
-    fn weighted_sum<W: RingWord>(
-        &self,
-        table_addr: u64,
-        indices: &[usize],
-        weights: &[W],
-        with_tag: bool,
-    ) -> Result<NdpResponse<W>, Error> {
-        let req = Request::WeightedSum {
-            table_addr,
-            elem_bytes: W::BYTES as u8,
-            indices: indices.iter().map(|&i| i as u64).collect(),
-            weights: weights.iter().map(|w| w.as_u64()).collect(),
-            with_tag,
-        };
-        sum_from_response(self.round_trip(&req)?, table_addr)
-    }
-
-    fn read_row(&self, table_addr: u64, row: usize) -> Result<Vec<u8>, Error> {
-        let req = Request::ReadRow {
-            table_addr,
-            row: row as u64,
-        };
-        match self.round_trip(&req)? {
-            Response::Row(b) => Ok(b),
-            Response::Err(code) => Err(error_from_code(code, table_addr)),
-            _ => Err(crate::metrics::malformed("wrong response kind")),
-        }
+        Self::from_link(
+            DynLink::new(InlineLink::new(inner)),
+            TransportConfig::default(),
+        )
     }
 }
 

@@ -96,9 +96,9 @@ fn async_endpoint_matches_blocking_path_differentially() {
         .weighted_sum_batch_pipelined(&handle, &endpoint, &qs, true)
         .unwrap();
 
-    // Single-query async leg: the env-independent async constructor.
+    // Single-query async leg: one rank, built explicitly.
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xA53));
-    let mut remote = RemoteNdp::async_backed(
+    let mut remote = AsyncEndpoint::single(
         DelayedNdp::with_jitter(
             HonestNdp::new(),
             Duration::from_micros(50),
@@ -318,15 +318,15 @@ fn load_is_never_retried() {
 }
 
 /// The full end-to-end protocol — publish, verified single and batched
-/// summations, and tamper detection — must behave identically when the
-/// `RemoteNdp` rides the async endpoint.
+/// summations, and tamper detection — must behave identically over the
+/// async (channel-linked) endpoint.
 #[test]
 fn end_to_end_protocol_over_async_endpoint() {
     let pt = plaintext();
     let qs = queries(8, 0xE2E);
 
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xE7E));
-    let mut ndp = RemoteNdp::async_backed(HonestNdp::new(), TransportConfig::default());
+    let mut ndp = AsyncEndpoint::single(HonestNdp::new(), TransportConfig::default());
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
     let handle = cpu.publish(&table, &mut ndp).unwrap();
 
@@ -342,7 +342,7 @@ fn end_to_end_protocol_over_async_endpoint() {
 
     // Tampering must still be caught through the async wire.
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xBAD2));
-    let mut evil = RemoteNdp::async_backed(
+    let mut evil = AsyncEndpoint::single(
         TamperingNdp::new(Tamper::FlipResultBit { element: 0, bit: 5 }),
         TransportConfig::default(),
     );

@@ -217,7 +217,6 @@ fn chaos_endpoint(ranks: usize, injector: &Arc<FaultInjector>) -> AsyncEndpoint 
     AsyncEndpoint::new_with_faults(
         FaultyNdp::fleet(HonestNdp::new(), ranks, Arc::clone(injector)),
         TransportConfig {
-            ranks,
             timeout: Duration::from_millis(150),
             max_retries: 3,
             stall_grace: Duration::from_millis(40),

@@ -5,8 +5,8 @@
 //! verify *and* equal both the inline transport's answer and the
 //! plaintext ground truth per query (a cross-wired reply would produce a
 //! verification failure or a differential mismatch), and afterwards the
-//! transport counters must reconcile exactly:
-//! `submitted == completed + timeouts + connection failures`.
+//! shared transport counters must reconcile exactly:
+//! `submitted == completed + timeouts + failures`.
 //!
 //! This file is a separate integration-test binary on purpose — it owns
 //! its process's global metric registry, so the reconciliation holds with
@@ -21,7 +21,7 @@ use std::time::Duration;
 use secndp::core::device::HonestNdp;
 use secndp::core::net::{NetConfig, TcpEndpoint};
 use secndp::core::wire::RemoteNdp;
-use secndp::core::{SecretKey, TrustedProcessor};
+use secndp::core::{SecretKey, TransportConfig, TrustedProcessor};
 
 const ROWS: usize = 64;
 const COLS: usize = 8;
@@ -84,7 +84,10 @@ fn eight_threads_hundreds_of_queries_verify_and_counters_reconcile() {
     let mut tcp = TcpEndpoint::connect(NetConfig {
         addrs: vec![addr],
         pool: 2,
-        timeout: Duration::from_millis(10_000),
+        transport: TransportConfig {
+            timeout: Duration::from_millis(10_000),
+            ..TransportConfig::default()
+        },
         ..NetConfig::default()
     })
     .unwrap();
@@ -135,24 +138,24 @@ fn eight_threads_hundreds_of_queries_verify_and_counters_reconcile() {
     );
 
     // Both pool connections carried traffic and are still live.
-    assert!(tcp.rank_vitals(0).live_connections() >= 1);
+    assert!(tcp.vitals()[0].live_connections() >= 1);
     assert_eq!(
-        tcp.rank_vitals(0).served() as usize,
+        tcp.vitals()[0].served() as usize,
         THREADS * QUERIES_PER_THREAD + 1, // + the publish load
     );
 
-    // Counter reconciliation: every submitted request record settled into
-    // exactly one bucket. This process ran no other transport, so the
-    // totals are exact, not deltas.
+    // Counter reconciliation on the shared transport counters: every
+    // submitted request settled into exactly one bucket. This process ran
+    // only the two endpoints above, so the totals are exact, not deltas.
     #[cfg(feature = "telemetry")]
     {
-        let submitted = counter("secndp_net_submitted_total");
-        let completed = counter("secndp_net_completed_total");
-        let timeouts = counter("secndp_net_timeouts_total");
-        let conn_failures = counter("secndp_net_conn_failures_total");
+        let submitted = counter("secndp_transport_submitted_total");
+        let completed = counter("secndp_transport_completed_total");
+        let timeouts = counter("secndp_transport_timeouts_total");
+        let failures = counter("secndp_transport_failures_total");
         assert_eq!(
             submitted,
-            completed + timeouts + conn_failures,
+            completed + timeouts + failures,
             "submitted must reconcile with completed + timeouts + failures"
         );
         assert!(

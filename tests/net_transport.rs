@@ -16,10 +16,12 @@ use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use secndp::core::device::HonestNdp;
+use secndp::arith::mersenne::Fq;
+use secndp::arith::ring::RingWord;
+use secndp::core::device::{HonestNdp, NdpResponse};
 use secndp::core::net::{NetConfig, NetServer, TcpEndpoint};
 use secndp::core::wire::{RemoteNdp, Request, Response, CODE_BAD_ELEM_BYTES, CODE_BAD_FRAME};
-use secndp::core::{Error, NdpDevice, SecretKey, TrustedProcessor};
+use secndp::core::{Error, NdpDevice, SecretKey, TransportConfig, TrustedProcessor};
 
 const ROWS: usize = 32;
 const COLS: usize = 8;
@@ -105,9 +107,12 @@ impl Drop for ChildServer {
 fn client_cfg(addr: &str) -> NetConfig {
     NetConfig {
         addrs: vec![addr.to_string()],
-        timeout: Duration::from_millis(5_000),
         connect_retries: 4,
         connect_backoff: Duration::from_millis(10),
+        transport: TransportConfig {
+            timeout: Duration::from_millis(5_000),
+            ..TransportConfig::default()
+        },
         ..NetConfig::default()
     }
 }
@@ -135,8 +140,8 @@ fn cross_process_differential_verified_sls() {
         assert_eq!(over_socket, expected(&pt, &idx, &w), "tcp ≢ plaintext");
     }
     // Rank vitals saw the live connection and the traffic.
-    assert!(tcp.rank_vitals(0).ever_connected());
-    assert!(tcp.rank_vitals(0).served() >= 64);
+    assert!(tcp.vitals()[0].ever_connected());
+    assert!(tcp.vitals()[0].served() >= 64);
 }
 
 /// Plaintext row readback across the process boundary (exercises the
@@ -281,7 +286,7 @@ fn server_kill_is_typed_error_then_reconnect_recovers() {
         ),
         "dead server must be a typed availability error, got {res:?}"
     );
-    assert!(tcp.rank_vitals(0).disconnected());
+    assert!(tcp.vitals()[0].disconnected());
 
     // Respawn on the *same* address (SO_REUSEADDR makes the listener
     // rebindable immediately; retry a few times for scheduler slack).
@@ -302,7 +307,7 @@ fn server_kill_is_typed_error_then_reconnect_recovers() {
         .weighted_sum(&handle, &tcp, &[4, 5], &[2u32, 3], true)
         .unwrap();
     assert_eq!(after, expected(&pt, &[4, 5], &[2, 3]));
-    assert!(tcp.rank_vitals(0).live_connections() > 0);
+    assert!(tcp.vitals()[0].live_connections() > 0);
 }
 
 /// Hand-writes one net request record carrying `frame` and returns the
@@ -480,7 +485,10 @@ fn oversized_reply_length_is_frame_too_large() {
     });
     let cfg = NetConfig {
         addrs: vec![addr],
-        max_retries: 0,
+        transport: TransportConfig {
+            max_retries: 0,
+            ..TransportConfig::default()
+        },
         ..NetConfig::default()
     };
     let tcp = TcpEndpoint::connect(cfg).unwrap();
@@ -489,6 +497,78 @@ fn oversized_reply_length_is_frame_too_large() {
         matches!(res, Err(Error::FrameTooLarge { len }) if len == 1 << 30),
         "oversized reply must be typed, got {res:?}"
     );
+}
+
+/// An honest device whose plain row reads panic — a buggy (not malicious)
+/// device implementation on the server.
+struct PanicsOnReadRow(HonestNdp);
+
+impl NdpDevice for PanicsOnReadRow {
+    fn load(
+        &mut self,
+        table_addr: u64,
+        ciphertext: Vec<u8>,
+        row_bytes: usize,
+        tags: Option<Vec<Fq>>,
+    ) -> Result<(), Error> {
+        self.0.load(table_addr, ciphertext, row_bytes, tags)
+    }
+
+    fn weighted_sum<W: RingWord>(
+        &self,
+        table_addr: u64,
+        indices: &[usize],
+        weights: &[W],
+        with_tag: bool,
+    ) -> Result<NdpResponse<W>, Error> {
+        self.0.weighted_sum(table_addr, indices, weights, with_tag)
+    }
+
+    fn read_row(&self, _table_addr: u64, _row: usize) -> Result<Vec<u8>, Error> {
+        panic!("device bug while serving read_row");
+    }
+}
+
+/// A device that panics while serving fails only the request it panicked
+/// on: the shared host lock is not poisoned, so another session's
+/// verified queries, the panicking session's own later queries and a
+/// brand-new client's load all keep working.
+#[test]
+fn panicking_device_fails_only_its_own_request() {
+    let server = NetServer::host_sessions(
+        |_session, _rank| PanicsOnReadRow(HonestNdp::new()),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let cfg = client_cfg(&server.local_addr().to_string());
+    let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0xB06));
+    let pt = plaintext();
+    let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
+    let mut a = TcpEndpoint::connect(cfg.clone()).unwrap();
+    let mut b = TcpEndpoint::connect(cfg.clone()).unwrap();
+    let h_a = cpu.publish(&table, &mut a).unwrap();
+    let h_b = cpu.publish(&table, &mut b).unwrap();
+
+    let res = a.read_row(ADDR, 0);
+    assert!(
+        matches!(res, Err(Error::MalformedResponse { .. })),
+        "the panicking request must fail typed, got {res:?}"
+    );
+    for (idx, w) in queries(4, 0xB07) {
+        let got = cpu.weighted_sum(&h_b, &b, &idx, &w, true).unwrap();
+        assert_eq!(got, expected(&pt, &idx, &w), "other session diverged");
+    }
+    let got = cpu
+        .weighted_sum(&h_a, &a, &[2, 3], &[1u32, 5], true)
+        .unwrap();
+    assert_eq!(got, expected(&pt, &[2, 3], &[1, 5]));
+
+    let mut fresh = TcpEndpoint::connect(cfg).unwrap();
+    let h_fresh = cpu.publish(&table, &mut fresh).unwrap();
+    let got = cpu
+        .weighted_sum(&h_fresh, &fresh, &[0, 31], &[4u32, 4], true)
+        .unwrap();
+    assert_eq!(got, expected(&pt, &[0, 31], &[4, 4]));
 }
 
 /// The graceful-drain sentinel: a client writing the shutdown sentinel
@@ -521,9 +601,7 @@ fn trace_ids_stitch_across_the_socket() {
     use secndp::telemetry::trace;
 
     let mut cpu = TrustedProcessor::new(SecretKey::derive_from_seed(0x77AC3));
-    let mut ndp = RemoteNdp::<HonestNdp>::tcp_backed(
-        TcpEndpoint::self_hosted(HonestNdp::new(), NetConfig::default()).unwrap(),
-    );
+    let mut ndp = TcpEndpoint::self_hosted(HonestNdp::new(), NetConfig::default()).unwrap();
     let pt = plaintext();
     let table = cpu.encrypt_table(&pt, ROWS, COLS, ADDR).unwrap();
 
